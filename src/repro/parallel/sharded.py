@@ -64,7 +64,6 @@ from ..errors import InputError, PhaseTimeoutError, ResumeMismatchError, WorkerC
 from ..faults import (
     DEFAULT_RESILIENCE,
     NULL_PLAN,
-    RANK_KINDS,
     degradation_reason,
     record_injection,
 )
@@ -74,7 +73,7 @@ from ..unionfind.flatten import flatten
 from ..unionfind.remsp import merge as remsp_merge
 from .backends.executor import executor_context
 from .boundary import boundary_edges, merge_boundary_row
-from .supervisor import interruptible_backoff, kill_workers
+from .supervisor import _KILL_GRACE, interruptible_backoff, kill_workers
 
 __all__ = ["ShardPlan", "plan_shards", "build_reduce_schedule", "shard_label"]
 
@@ -574,16 +573,21 @@ def _rank_main(
     tasks: list[str],
     payload: dict | None,
     directives: tuple,
+    drops: set[str],
     parent_pid: int,
+    wake,
 ) -> None:
     """One elastic rank: claim → execute → mark done, until the phase is
-    complete. Exits 0 only when every task has a done marker."""
+    complete. Exits 0 only when every task has a done marker.
+
+    Whichever rank executes a task in *drops* loses its seam message.
+    An idle rank re-sweeps the board every claim poll, or as soon as
+    *wake* (the read end of a coordinator pipe) turns readable — the
+    coordinator writes to it once the phase's last task is done."""
     pdir = _phase_dir(pathlib.Path(ctx["scratch"]), phase)
     kill = next((d for d in directives if d[0] == "kill_rank"), None)
-    drop = next((d for d in directives if d[0] == "drop_seam_msg"), None)
     tasks_done = 0
     batches_done = 0
-    drop_fired = False
     beats = 0
 
     def heartbeat() -> None:
@@ -617,16 +621,12 @@ def _rank_main(
                 claimed = task
                 break
         if claimed is None:
-            time.sleep(_CLAIM_POLL)
+            wake.poll(_CLAIM_POLL)
             continue
-        drop_now = (
-            drop is not None and not drop_fired and tasks_done >= drop[1]
-        )
         stats = _execute_task(
-            ctx, phase, claimed, payload, heartbeat, batch_tick, drop=drop_now
+            ctx, phase, claimed, payload, heartbeat, batch_tick,
+            drop=claimed in drops,
         )
-        if drop_now:
-            drop_fired = True
         _mark_done(pdir, claimed, stats)
         tasks_done += 1
 
@@ -658,6 +658,15 @@ def _run_phase(
     *quorum* (or the watchdog expires) with *degrade* allowed — an
     inline single-process fallback that finishes the remaining tasks in
     the coordinator. Raises typed errors when degradation is off.
+
+    The phase returns only once every rank it started has exited by
+    itself, or has been reaped after the supervisor's kill grace. Any
+    non-zero exit the coordinator did not cause counts as a rank death
+    (and earns a respawn while the budget lasts), including one that
+    lands after the last task is done-marked; so does a heartbeat kill,
+    whose claims must be released. Ranks reaped after the grace, or
+    torn down by the watchdog or a degradation, do not. A phase whose
+    tasks are all done never times out or degrades.
     """
     scratch = pathlib.Path(ctx["scratch"])
     pdir = _phase_dir(scratch, phase)
@@ -683,9 +692,23 @@ def _run_phase(
         "inline_tasks": 0,
         "degraded": None,
     }
-    if not _undone(pdir, tasks):
+    pending = _undone(pdir, tasks)
+    if not pending:
         agg["skipped"] = True
         return agg
+    # a lost seam message belongs to a task, not to a rank: the spec's
+    # `rank` selects the seam, so the drop fires whichever rank claims
+    # it — a drop bound to a rank would never fire (yet still count as
+    # injected) whenever the other ranks claimed every seam first.
+    drops: set[str] = set()
+    if fault_plan.enabled:
+        for index, task in enumerate(tasks):
+            if task not in pending:
+                continue
+            spec = fault_plan.take("drop_seam_msg", phase, rank=index)
+            if spec is not None:
+                record_injection(recorder, spec)
+                drops.add(task)
 
     mp_ctx = executor_context()
     parent_pid = os.getpid()
@@ -699,12 +722,15 @@ def _run_phase(
     hb_seen: dict[int, tuple[str | None, float]] = {}
     all_procs: list = []
     degrade_reason: dict | None = None
+    wake_r, wake_w = mp_ctx.Pipe(duplex=False)
 
     def spawn(rank: int) -> None:
         gen = gens[rank]
         directives: tuple = ()
         if fault_plan.enabled:
-            specs = fault_plan.directives(phase, rank, gen, kinds=RANK_KINDS)
+            specs = fault_plan.directives(
+                phase, rank, gen, kinds=("kill_rank",)
+            )
             for spec in specs:
                 record_injection(recorder, spec)
             directives = tuple(
@@ -713,7 +739,8 @@ def _run_phase(
             )
         proc = mp_ctx.Process(
             target=_rank_main,
-            args=(ctx, phase, rank, gen, tasks, payload, directives, parent_pid),
+            args=(ctx, phase, rank, gen, tasks, payload, directives,
+                  drops, parent_pid, wake_r),
             name=f"shard-rank-{phase}-{rank}",
             daemon=True,
         )
@@ -725,6 +752,46 @@ def _run_phase(
         all_procs.append(proc)
         if recorder.enabled:
             recorder.count("shard.ranks_forked")
+
+    def reap(until: float) -> None:
+        # one sentinel sweep: every non-zero exit is a death — counted,
+        # its claims released, and the rank respawned while its budget
+        # lasts (backoff capped at *until*).
+        sent_map = {p.sentinel: (r, p) for r, p in procs.items()}
+        ready = (
+            connection.wait(list(sent_map), timeout=_WAIT_TICK)
+            if sent_map
+            else ()
+        )
+        for sentinel in ready:
+            rank, proc = sent_map[sentinel]
+            proc.join()
+            del procs[rank]
+            if proc.exitcode == 0:
+                # ranks exit 0 only once every task is done-marked;
+                # the loop condition will observe that next pass.
+                continue
+            agg["rank_deaths"] += 1
+            if recorder.enabled:
+                recorder.count("shard.rank_deaths")
+            released = _release_claims(pdir, rank, gens[rank], tasks)
+            agg["reassigned"] += released
+            agg["claims_released"] += released
+            _record_claims_released(recorder, rank, released)
+            if recorder.enabled and released:
+                recorder.count("shard.reassigned", released)
+            if gens[rank] < resilience.max_retries:
+                gens[rank] += 1
+                agg["respawns"] += 1
+                if recorder.enabled:
+                    recorder.count("shard.respawns")
+                interruptible_backoff(
+                    min(
+                        resilience.backoff(gens[rank]),
+                        max(0.0, until - time.monotonic()),
+                    )
+                )
+                spawn(rank)
 
     try:
         for rank in range(n_ranks):
@@ -767,41 +834,7 @@ def _run_phase(
                         agg["heartbeat_kills"] += 1
                         if recorder.enabled:
                             recorder.count("shard.heartbeat_kills")
-            sent_map = {p.sentinel: (r, p) for r, p in procs.items()}
-            ready = (
-                connection.wait(list(sent_map), timeout=_WAIT_TICK)
-                if sent_map
-                else ()
-            )
-            for sentinel in ready:
-                rank, proc = sent_map[sentinel]
-                proc.join()
-                del procs[rank]
-                if proc.exitcode == 0:
-                    # ranks exit 0 only once every task is done-marked;
-                    # the loop condition will observe that next pass.
-                    continue
-                agg["rank_deaths"] += 1
-                if recorder.enabled:
-                    recorder.count("shard.rank_deaths")
-                released = _release_claims(pdir, rank, gens[rank], tasks)
-                agg["reassigned"] += released
-                agg["claims_released"] += released
-                _record_claims_released(recorder, rank, released)
-                if recorder.enabled and released:
-                    recorder.count("shard.reassigned", released)
-                if gens[rank] < resilience.max_retries:
-                    gens[rank] += 1
-                    agg["respawns"] += 1
-                    if recorder.enabled:
-                        recorder.count("shard.respawns")
-                    interruptible_backoff(
-                        min(
-                            resilience.backoff(gens[rank]),
-                            max(0.0, deadline - time.monotonic()),
-                        )
-                    )
-                    spawn(rank)
+            reap(deadline)
             if len(procs) < quorum and _undone(pdir, tasks):
                 dead = tuple(sorted(set(gens) - set(procs)))
                 err = WorkerCrashError(
@@ -819,8 +852,20 @@ def _run_phase(
                 procs.clear()
                 degrade_reason = degradation_reason("sharded", err)
                 break
+        # survivors can done-mark the last task before a dead rank's
+        # sentinel is swept (a rank killed on its first pass while the
+        # coordinator is still forking the rest): let every rank exit by
+        # itself — idle ones at once, woken through the pipe — so no
+        # death goes uncounted. Stragglers past the grace are reaped
+        # below.
+        wake_w.send_bytes(b"done")
+        settle = time.monotonic() + _KILL_GRACE
+        while procs and time.monotonic() < settle:
+            reap(settle)
     finally:
         kill_workers(all_procs)
+        wake_r.close()
+        wake_w.close()
 
     if degrade_reason is not None:
         # the degradation rung: whatever the pool left behind runs

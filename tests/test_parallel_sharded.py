@@ -286,6 +286,118 @@ def test_fewer_ranks_than_shards(rng, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# faults whose outcome must not depend on which rank claims what
+# ---------------------------------------------------------------------------
+
+
+def _late_rank_0(monkeypatch, phase, after_done):
+    """Patch rank 0 (first generation) of *phase* to idle until every
+    task is done-marked by the others, then call *after_done*; every
+    other rank runs the real loop. Ranks are forked, so they inherit
+    the patch."""
+    from repro.parallel import sharded
+
+    real = sharded._rank_main
+
+    def rank_main(ctx, ph, rank, generation, tasks, *rest):
+        if ph == phase and rank == 0 and generation == 0:
+            pdir = sharded._phase_dir(pathlib.Path(ctx["scratch"]), ph)
+            while sharded._undone(pdir, tasks):
+                time.sleep(0.005)
+            after_done()
+        real(ctx, ph, rank, generation, tasks, *rest)
+
+    monkeypatch.setattr(sharded, "_rank_main", rank_main)
+
+
+def _root_phase(img, n_shards):
+    levels, _ = build_reduce_schedule(
+        plan_shards(*img.shape, TILE, n_shards).n_shards
+    )
+    return f"reduce-{len(levels) - 1}"
+
+
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="patching a rank's loop needs forked ranks",
+)
+
+
+@fork_only
+def test_death_after_last_task_is_counted_and_respawned(
+    rng, tmp_path, monkeypatch
+):
+    """A rank that dies after survivors finished the phase still counts:
+    the coordinator waits for every rank it started to exit."""
+    img = _image(rng)
+    oracle = np.asarray(tiled_label(img, tile_shape=TILE).labels)
+
+    def die_late():
+        # long enough for the coordinator to see the phase finished
+        time.sleep(0.2)
+        os._exit(137)
+
+    _late_rank_0(monkeypatch, _root_phase(img, 7), die_late)
+    rec = TraceRecorder()
+    result = shard_label(
+        img, n_shards=7, tile_shape=TILE, checkpoint_dir=tmp_path / "ck",
+        resilience=FAST, recorder=rec, degrade=False,
+    )
+    assert np.array_equal(np.asarray(result.labels), oracle)
+    assert result.meta["rank_deaths"] == 1
+    assert result.meta["respawns"] == 1
+    assert rec.report().metrics["counters"].get("shard.rank_deaths") == 1
+    assert "degraded_from" not in result.meta
+    assert _no_orphan_ranks()
+
+
+@fork_only
+def test_rank_alive_past_grace_is_reaped_not_counted(
+    rng, tmp_path, monkeypatch
+):
+    """A rank that never exits after the last task is killed once the
+    supervisor's grace runs out; the coordinator's own kill is not a
+    death, and a finished phase neither times out nor degrades."""
+    from repro.parallel import sharded
+
+    monkeypatch.setattr(sharded, "_KILL_GRACE", 0.3)
+    img = _image(rng)
+    oracle = np.asarray(tiled_label(img, tile_shape=TILE).labels)
+    _late_rank_0(monkeypatch, _root_phase(img, 7), lambda: time.sleep(60))
+    t0 = time.monotonic()
+    result = shard_label(
+        img, n_shards=7, tile_shape=TILE, checkpoint_dir=tmp_path / "ck",
+        resilience=FAST, degrade=False,
+    )
+    assert time.monotonic() - t0 < 30.0  # reaped after the grace
+    assert np.array_equal(np.asarray(result.labels), oracle)
+    assert result.meta["rank_deaths"] == 0
+    assert result.meta["respawns"] == 0
+    assert "degraded_from" not in result.meta
+    assert _no_orphan_ranks()
+
+
+@fork_only
+def test_seam_drop_fires_whichever_rank_claims_the_seam(
+    rng, tmp_path, monkeypatch
+):
+    """``rank`` of a ``drop_seam_msg`` selects the seam: the message is
+    lost even when rank 0 claims no seam task at all."""
+    img = _image(rng)
+    oracle = np.asarray(tiled_label(img, tile_shape=TILE).labels)
+    _late_rank_0(monkeypatch, "seam", lambda: None)
+    plan = FaultPlan([FaultSpec("drop_seam_msg", phase="seam", rank=0)])
+    result = shard_label(
+        img, n_shards=3, tile_shape=TILE, checkpoint_dir=tmp_path / "ck",
+        resilience=FAST, fault_plan=plan,
+    )
+    assert np.array_equal(np.asarray(result.labels), oracle)
+    assert plan.injected == 1
+    assert result.meta["dropped_seam"] == 1
+    assert result.meta["seam_recovered"] == 1
+
+
+# ---------------------------------------------------------------------------
 # chaos: a real SIGKILL of the coordinator, then resume=True
 # ---------------------------------------------------------------------------
 
