@@ -56,7 +56,7 @@ from .parallel.tiled import tiled_label
 from .types import Connectivity, ensure_input
 from .volume import volume_label
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "label",
@@ -105,11 +105,9 @@ def label(
         8 (paper default) or 4.
     engine:
         ``None`` (the named algorithm as published), ``"vectorized"``
-        as a convenience alias for the NumPy run-based engine,
-        ``"auto"`` to let the measured dispatch table pick the fastest
-        engine for this image's statistics (see
-        :mod:`repro.ccl.dispatch`), or any registry name (``"itequiv"``,
-        ``"coarse2fine"``, ``"block2x2"``, ...) to force that kernel.
+        as a convenience alias for the NumPy run-based engine, or any
+        registry name (``"run-vectorized"``, ``"multipass"``, ...) to
+        force that kernel.
 
     Returns
     -------
@@ -122,7 +120,7 @@ def label(
     elif engine in (None, "python"):
         fn = get_algorithm(algorithm)
     else:
-        fn = get_algorithm(engine)  # registry names incl. "auto"
+        fn = get_algorithm(engine)
     result = fn(ensure_input(image), connectivity)
     return result.labels, result.n_components
 

@@ -44,13 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("python", "vectorized", "auto", "itequiv", "coarse2fine",
-                 "block2x2"),
+        choices=("python", "vectorized"),
         default=None,
-        help="force an engine: vectorized = NumPy run-based; auto = "
-        "density-aware dispatch over the measured fastest engine per "
-        "image regime; itequiv/coarse2fine/block2x2 = that whole-array "
-        "kernel",
+        help="force an engine: vectorized = NumPy run-based",
     )
     parser.add_argument(
         "--connectivity", type=int, choices=(4, 8), default=8
@@ -60,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "threads", "processes"),
         default=None,
         help="run the parallel PAREMSP pipeline on this backend instead "
-        "of the single-pass --algorithm (uses --engine interpreter or "
-        "vectorized)",
+        "of the single-pass --algorithm (--engine vectorized scans with "
+        "NumPy, otherwise the interpreter scan runs)",
     )
     parser.add_argument(
         "--threads",
@@ -542,8 +538,6 @@ def main(argv: list[str] | None = None) -> int:
 
     elif args.engine == "vectorized":
         fn = get_algorithm("run-vectorized")
-    elif args.engine not in (None, "python"):
-        fn = get_algorithm(args.engine)  # auto / itequiv / coarse2fine / ...
     else:
         fn = get_algorithm(args.algorithm)
     with _maybe_profiler(args) as prof:
@@ -580,12 +574,6 @@ def main(argv: list[str] | None = None) -> int:
             f"note: backend {degraded_from['backend']!r} failed"
             f"{_degrade_detail(degraded_from)}; run degraded to "
             f"{result.backend!r}"
-        )
-    dispatch = (result.meta or {}).get("dispatch")
-    if dispatch:
-        print(
-            f"note: auto dispatch chose {dispatch['engine']!r} "
-            f"(density {dispatch['density']}, rule {dispatch['rule']!r})"
         )
     if args.stats and n:
         _print_stats(labels, n)

@@ -431,42 +431,43 @@ def test_sigkill_coordinator_then_resume(tmp_path):
     ck = tmp_path / "ck"
     oracle = np.asarray(tiled_label(img, tile_shape=TILE).labels)
 
-    proc = subprocess.Popen(
+    # the with block closes both pipes on every path
+    with subprocess.Popen(
         [sys.executable, "-u", "-c",
          _CHILD.format(img=str(tmp_path / "img.npy"), ck=str(ck))],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=SRC),
         start_new_session=True,  # own process group: ranks are traceable
-    )
-    pgid = proc.pid
-    deadline = time.monotonic() + 60.0
-    seen = 0
-    try:
-        while time.monotonic() < deadline:
-            ready, _, _ = select.select([proc.stdout], [], [], 1.0)
-            if not ready:
-                if proc.poll() is not None:
+    ) as proc:
+        pgid = proc.pid
+        deadline = time.monotonic() + 60.0
+        seen = 0
+        try:
+            while time.monotonic() < deadline:
+                ready, _, _ = select.select([proc.stdout], [], [], 1.0)
+                if not ready:
+                    if proc.poll() is not None:
+                        break
+                    continue
+                line = proc.stdout.readline()
+                if not line:
                     break
-                continue
-            line = proc.stdout.readline()
-            if not line:
-                break
-            if line.startswith("CKPT"):
-                seen += 1
-                if seen >= 2:
-                    os.kill(proc.pid, signal.SIGKILL)
-                    proc.wait(timeout=30)
-                    break
-        else:  # pragma: no cover - watchdog path
-            pytest.fail("child never reached two checkpoints")
-    finally:
-        if proc.poll() is None:  # pragma: no cover - watchdog path
-            proc.kill()
-    if proc.returncode != -signal.SIGKILL:
-        pytest.fail(
-            f"child exited rc={proc.returncode} before the kill "
-            f"(saw {seen} checkpoints; stderr={proc.stderr.read()!r})"
-        )
+                if line.startswith("CKPT"):
+                    seen += 1
+                    if seen >= 2:
+                        os.kill(proc.pid, signal.SIGKILL)
+                        proc.wait(timeout=30)
+                        break
+            else:  # pragma: no cover - watchdog path
+                pytest.fail("child never reached two checkpoints")
+        finally:
+            if proc.poll() is None:  # pragma: no cover - watchdog path
+                proc.kill()
+        if proc.returncode != -signal.SIGKILL:
+            pytest.fail(
+                f"child exited rc={proc.returncode} before the kill "
+                f"(saw {seen} checkpoints; stderr={proc.stderr.read()!r})"
+            )
 
     # the orphaned ranks notice their coordinator died (ppid watch) and
     # self-exit; the whole process group must drain without our help.

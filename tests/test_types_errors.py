@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -128,13 +131,16 @@ class TestTopLevelAPI:
 
     def test_label_bad_engine(self):
         # engine names resolve through the registry now, so a bad one is
-        # the same typed error as a bad algorithm, with suggestions
-        with pytest.raises(UnknownAlgorithmError, match="available"):
-            repro.label(np.zeros((2, 2)), engine="cuda")
+        # the same typed error as a bad algorithm, with suggestions; the
+        # names after "cuda" are engines the registry no longer has
+        for engine in ("cuda", "auto", "itequiv", "coarse2fine",
+                       "block2x2", "propagation-vectorized"):
+            with pytest.raises(UnknownAlgorithmError, match="available"):
+                repro.label(np.zeros((2, 2)), engine=engine)
 
     def test_label_registry_engine_names(self):
         img = np.eye(6, dtype=np.uint8)
-        for engine in ("itequiv", "coarse2fine", "auto"):
+        for engine in ("run-vectorized", "multipass", "suzuki", "contour"):
             _, n = repro.label(img, engine=engine)
             assert n == 1
 
@@ -165,4 +171,12 @@ class TestTopLevelAPI:
         assert n == nref
 
     def test_version(self):
-        assert repro.__version__
+        # a regex, not tomllib: Python 3.10 has no TOML reader
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        match = re.search(
+            r'^\[project\][^\[]*?^version\s*=\s*"([^"]+)"',
+            pyproject.read_text(),
+            re.MULTILINE | re.DOTALL,
+        )
+        assert match, "no [project].version in pyproject.toml"
+        assert repro.__version__ == match.group(1)
