@@ -17,8 +17,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test chaos bench-paremsp bench-trace bench bench-history \
-	perf-gate analyze-trace service-smoke service-metrics-smoke \
-	shard-smoke net-shard-smoke
+	bench-density dispatch-table perf-gate analyze-trace service-smoke \
+	service-metrics-smoke shard-smoke net-shard-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -49,15 +49,33 @@ bench-history:
 		--warmup 1 --record-only --out BENCH_ci.json \
 		--history benchmarks/history
 
+# engine x pattern x density sweep feeding the `auto` dispatch engine
+# (see docs/ALGORITHMS.md): every cell is oracle-checked before its
+# timing counts, the record lands in the perf history for `perf-gate`.
+bench-density:
+	$(PYTHON) benchmarks/bench_density_sweep.py --size 512 --repeats 3 \
+		--warmup 1 --history benchmarks/history
+
+# regenerate src/repro/ccl/dispatch_table.json (and the committed
+# density baseline) from a fresh sweep on this machine.
+dispatch-table:
+	$(PYTHON) benchmarks/bench_density_sweep.py --size 512 --repeats 3 \
+		--warmup 1 --history benchmarks/history --write-table \
+		--out benchmarks/history/baseline_density.json
+
 # regression gate: latest history record vs the committed baseline,
 # per benchmark (the compare picks the newest record matching the
 # baseline's own benchmark name, so the shared history directory is
-# safe). The service gate covers queue-latency percentiles too.
+# safe). The service gate covers queue-latency percentiles too; the
+# density gate watches the auto-dispatch sweep cells.
 perf-gate:
 	$(PYTHON) -m repro.obs.cli compare benchmarks/history/baseline.json \
 		--dir benchmarks/history
 	$(PYTHON) -m repro.obs.cli compare \
 		benchmarks/history/baseline_service.json \
+		--dir benchmarks/history
+	$(PYTHON) -m repro.obs.cli compare \
+		benchmarks/history/baseline_density.json \
 		--dir benchmarks/history
 	$(PYTHON) -m repro.obs.cli compare \
 		benchmarks/history/baseline_shard.json \

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ccl import aremsp, ccllrpc, run_based_vectorized
+from repro.ccl.block2x2 import block_label
 from repro.ccl.opcount import tworow_opcounts
 from repro.data import granularity
 
@@ -36,6 +37,11 @@ def test_ccllrpc(benchmark, image):
 
 def test_run_vectorized(benchmark, image):
     result = benchmark(run_based_vectorized, image, 8)
+    assert result.n_components >= 1
+
+
+def test_block2x2(benchmark, image):
+    result = benchmark(block_label, image, 8)
     assert result.n_components >= 1
 
 

@@ -105,9 +105,11 @@ def label(
         8 (paper default) or 4.
     engine:
         ``None`` (the named algorithm as published), ``"vectorized"``
-        as a convenience alias for the NumPy run-based engine, or any
-        registry name (``"run-vectorized"``, ``"multipass"``, ...) to
-        force that kernel.
+        as a convenience alias for the NumPy run-based engine,
+        ``"auto"`` to let the measured dispatch table pick the fastest
+        engine for this image's statistics (see
+        :mod:`repro.ccl.dispatch`), or any registry name (``"itequiv"``,
+        ``"coarse2fine"``, ``"block2x2"``, ...) to force that kernel.
 
     Returns
     -------
@@ -120,7 +122,7 @@ def label(
     elif engine in (None, "python"):
         fn = get_algorithm(algorithm)
     else:
-        fn = get_algorithm(engine)
+        fn = get_algorithm(engine)  # registry names incl. "auto"
     result = fn(ensure_input(image), connectivity)
     return result.labels, result.n_components
 

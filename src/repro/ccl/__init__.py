@@ -18,13 +18,23 @@ Bold = the paper's proposals. All entry points take a binary image and
 return a :class:`~repro.ccl.labeling.CCLResult`; the uniform access point
 is :func:`repro.ccl.registry.get_algorithm` /
 :func:`repro.label`.
+
+Beyond the paper's roster, the whole-array NumPy engine family
+(ROADMAP item 2): :mod:`~repro.ccl.itequiv` (iterative label
+equivalence, arXiv:1708.08180-style), :mod:`~repro.ccl.coarse2fine`
+(block-local propagation + boundary-only merge, arXiv:1712.09789), and
+:mod:`~repro.ccl.dispatch` (the ``"auto"`` registry entry that picks an
+engine from measured image statistics).
 """
 
 from .aremsp import aremsp
 from .arun import arun
 from .ccllrpc import ccllrpc
 from .cclremsp import cclremsp
+from .coarse2fine import coarse2fine
+from .dispatch import auto_label, choose_engine, image_stats
 from .grayscale import grayscale_label, grayscale_label_runs
+from .itequiv import itequiv
 from .labeling import CCLResult
 from .multipass import multipass
 from .registry import ALGORITHMS, get_algorithm
@@ -41,6 +51,11 @@ __all__ = [
     "run_based_vectorized",
     "multipass",
     "suzuki",
+    "itequiv",
+    "coarse2fine",
+    "auto_label",
+    "choose_engine",
+    "image_stats",
     "grayscale_label",
     "grayscale_label_runs",
     "ALGORITHMS",

@@ -2,7 +2,7 @@
 
 The second speed regime ROADMAP item 2 asks for: no Python-level
 per-pixel loop at all, following the iterative label-equivalence family
-(Komura-style optimized union-find on GPUs, arXiv:1708.08180, and the
+(Chen et al.'s optimized union-find on GPUs, arXiv:1708.08180, and the
 classic SIMD propagation kernels it descends from). Every foreground
 pixel starts with a unique label (its linear index + 1) and the image
 iterates a *run-aware* neighbourhood-min operator to a fixed point:

@@ -15,11 +15,15 @@ import numpy as np
 from ..errors import UnknownAlgorithmError
 from .aremsp import aremsp
 from .arun import arun
+from .block2x2 import block_label
 from .ccllrpc import ccllrpc
 from .cclremsp import cclremsp
+from .coarse2fine import coarse2fine
 from .contour import contour_trace
+from .dispatch import auto_label
+from .itequiv import itequiv
 from .labeling import CCLResult
-from .multipass import multipass
+from .multipass import multipass, propagation_vectorized
 from .run_based import run_based, run_based_vectorized
 from .suzuki import suzuki
 
@@ -41,13 +45,18 @@ ALGORITHMS: dict[str, LabelFn] = {
     "run": run_based,
     "run-vectorized": run_based_vectorized,
     "multipass": multipass,
+    "propagation-vectorized": propagation_vectorized,
     "suzuki": suzuki,
     "contour": contour_trace,
+    "block2x2": block_label,
+    "itequiv": itequiv,
+    "coarse2fine": coarse2fine,
+    "auto": auto_label,
 }
 
 #: algorithms defined only for 8-connectivity (contour tracing has no
-#: 4-connectivity Moore walk).
-EIGHT_CONNECTIVITY_ONLY: frozenset[str] = frozenset({"contour"})
+#: 4-connectivity Moore walk; 2x2 blocks are not internally 4-connected).
+EIGHT_CONNECTIVITY_ONLY: frozenset[str] = frozenset({"contour", "block2x2"})
 
 #: the four columns of the paper's Table II, in table order.
 SEQUENTIAL_TABLE2: tuple[str, ...] = (

@@ -44,9 +44,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("python", "vectorized"),
+        choices=("python", "vectorized", "auto", "itequiv", "coarse2fine",
+                 "block2x2"),
         default=None,
-        help="force an engine: vectorized = NumPy run-based",
+        help="force an engine: vectorized = NumPy run-based; auto = "
+        "density-aware dispatch over the measured fastest engine per "
+        "image regime; itequiv/coarse2fine/block2x2 = that whole-array "
+        "kernel",
     )
     parser.add_argument(
         "--connectivity", type=int, choices=(4, 8), default=8
@@ -538,6 +542,8 @@ def main(argv: list[str] | None = None) -> int:
 
     elif args.engine == "vectorized":
         fn = get_algorithm("run-vectorized")
+    elif args.engine not in (None, "python"):
+        fn = get_algorithm(args.engine)  # auto / itequiv / coarse2fine / ...
     else:
         fn = get_algorithm(args.algorithm)
     with _maybe_profiler(args) as prof:
@@ -574,6 +580,12 @@ def main(argv: list[str] | None = None) -> int:
             f"note: backend {degraded_from['backend']!r} failed"
             f"{_degrade_detail(degraded_from)}; run degraded to "
             f"{result.backend!r}"
+        )
+    dispatch = (result.meta or {}).get("dispatch")
+    if dispatch:
+        print(
+            f"note: auto dispatch chose {dispatch['engine']!r} "
+            f"(density {dispatch['density']}, rule {dispatch['rule']!r})"
         )
     if args.stats and n:
         _print_stats(labels, n)

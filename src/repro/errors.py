@@ -82,10 +82,10 @@ class ConnectivityError(ReproError, ValueError):
     """An algorithm was asked for a connectivity it does not define.
 
     The registry's :data:`~repro.ccl.registry.EIGHT_CONNECTIVITY_ONLY`
-    entries (contour tracing) have no 4-connectivity formulation; asking
-    for one is a typed, catchable error rather than a silently wrong
-    answer. Subclasses ``ValueError`` so pre-existing ``except
-    ValueError`` callers keep working.
+    entries (contour tracing, 2x2-block labeling) have no 4-connectivity
+    formulation; asking for one is a typed, catchable error rather than
+    a silently wrong answer. Subclasses ``ValueError`` so pre-existing
+    ``except ValueError`` callers keep working.
     """
 
 

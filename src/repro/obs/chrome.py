@@ -90,7 +90,7 @@ def spans_to_chrome(spans: Iterable, metrics: dict | None = None) -> dict:
             event["args"]["depth"] = depth
         attrs = getattr(span, "attrs", None)
         if attrs:
-            # span annotations (request ids, engines, pids) show in
+            # span annotations (request ids, dispatch decisions) show in
             # the viewer's args panel and round-trip via chrome_to_spans.
             event["args"]["attrs"] = dict(attrs)
         events.append(event)

@@ -72,7 +72,7 @@ class Span:
     process backend's worker spans line up with the coordinator's).
     ``depth`` is the nesting level at record time (0 = top level).
     ``attrs`` carries optional key/value annotations (request ids,
-    engines, tenant names) that survive the jsonl and
+    dispatch decisions, tenant names) that survive the jsonl and
     chrome export round-trips; ``None`` means no annotations.
     """
 

@@ -7,9 +7,11 @@ data representation flows between the phases:
   (:func:`repro.ccl.scan_aremsp.scan_tworow`) over Python row lists, with
   a shared ``list`` equivalence array;
 * ``vectorized`` — the NumPy run-based kernel
-  (:func:`repro.ccl.run_based.scan_runs_chunk`) over ndarray row slices.
+  (:func:`repro.ccl.run_based.scan_runs_chunk`) over ndarray row slices;
+* ``vectorized-blocks`` — the NumPy 2x2-block kernel
+  (:func:`repro.ccl.block2x2.scan_blocks_chunk`), 8-connectivity only.
 
-The vectorised kernel obeys one contract:
+Every vectorised kernel obeys one contract:
 ``kernel(img_chunk, label_start, connectivity, out=None) ->
 (label_chunk, used, p_slice)`` with provisional labels drawn from the
 chunk's disjoint range ``[label_start, label_start + chunk_pixels)`` and
@@ -26,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ...ccl.block2x2 import scan_blocks_chunk
 from ...ccl.run_based import scan_runs_chunk
 from ...errors import BackendError
 from ...types import LABEL_DTYPE
@@ -34,11 +37,27 @@ from ..partition import RowChunk
 __all__ = ["VECTOR_ENGINES", "chunk_kernel", "gather_equivalences"]
 
 #: engines whose scan phase runs the NumPy per-chunk kernels.
-VECTOR_ENGINES = ("vectorized",)
+VECTOR_ENGINES = ("vectorized", "vectorized-blocks")
+
+
+def _blocks_kernel(
+    img_chunk: np.ndarray,
+    label_start: int,
+    connectivity: int,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, np.ndarray]:
+    # connectivity is validated to 8 in paremsp(); the parameter only
+    # unifies the kernel signature.
+    lab, used, p_slice = scan_blocks_chunk(img_chunk, label_start)
+    if out is not None:
+        out[:] = lab
+        lab = out
+    return lab, used, p_slice
 
 
 _KERNELS: dict[str, Callable] = {
     "vectorized": scan_runs_chunk,
+    "vectorized-blocks": _blocks_kernel,
 }
 
 

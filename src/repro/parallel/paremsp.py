@@ -9,16 +9,20 @@ Two scan *engines* ride the same pipeline:
 
 * ``interpreter`` (default) — the paper-faithful Python transcription of
   the two-row AREMSP scan, kept as the fidelity baseline;
-* ``vectorized`` — the NumPy run-based per-chunk kernel with an
-  edge-list boundary phase and array FLATTEN; same phases, array
-  representations end to end.
+* ``vectorized`` / ``vectorized-blocks`` — NumPy per-chunk kernels
+  (run-based and 2x2-block respectively) with an edge-list boundary
+  phase and array FLATTEN; same phases, array representations end to
+  end.
 
 Determinism contract (asserted by tests): provisional labels depend on
 the engine and the backend's interleaving, but the *final* labeling is
 identical across all engines, backends and thread counts, and identical
 to sequential AREMSP. Interpreter and run-based scans both allocate
 provisional ids in AREMSP's traversal order, so FLATTEN's ascending
-root numbering is already the sequential numbering.
+root numbering is already the sequential numbering; the block engine
+numbers 2x2 blocks instead, and its finals are renumbered to the
+first-appearance order of AREMSP's pair traversal (for each row pair,
+column-major within the pair) before being returned.
 """
 
 from __future__ import annotations
@@ -61,6 +65,57 @@ class ParallelResult(CCLResult):
     engine: str = "interpreter"
 
 
+def _canonical_pair_order(labels: np.ndarray) -> np.ndarray:
+    """Renumber a correct component partition into AREMSP's numbering.
+
+    AREMSP hands out final numbers in the first-appearance order of its
+    scan traversal: rows are consumed in pairs, and within a pair the
+    walk is column-major — ``(r, c)`` then ``(r + 1, c)`` before
+    ``(r, c + 1)``. Emitting the pixels in that exact order and ranking
+    the distinct labels by first occurrence yields the sequential
+    numbering for *any* labeling with the same component partition,
+    which is what makes cross-engine byte-identity possible.
+    """
+    rows, cols = labels.shape
+    if labels.size == 0:
+        # zero rows or zero columns: nothing to renumber (and the pair
+        # reshape below cannot infer a dimension from a 0-sized array)
+        return labels
+    even = (rows // 2) * 2
+    parts = []
+    if even:
+        parts.append(
+            labels[:even].reshape(-1, 2, cols).transpose(0, 2, 1).ravel()
+        )
+    if rows > even:
+        parts.append(labels[even:].ravel())
+    if not parts:
+        return labels
+    seq = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    # A label's first occurrence is necessarily a change point (a pixel
+    # differing from its traversal predecessor), so only change points
+    # compete in the first-occurrence minimisation — O(runs), not
+    # O(pixels), work past the single change-point scan.
+    prev = np.empty_like(seq)
+    prev[0] = 0
+    prev[1:] = seq[:-1]
+    cand = np.flatnonzero((seq != prev) & (seq > 0))
+    if cand.size == 0:
+        return labels
+    cand_labels = seq[cand]
+    n_labels = int(cand_labels.max())
+    first = np.full(n_labels + 1, seq.size, dtype=np.int64)
+    np.minimum.at(first, cand_labels, cand)
+    present = np.flatnonzero(first < seq.size)
+    rank = np.empty(len(present), dtype=LABEL_DTYPE)
+    rank[np.argsort(first[present], kind="stable")] = np.arange(
+        1, len(present) + 1, dtype=LABEL_DTYPE
+    )
+    lut = np.zeros(n_labels + 1, dtype=LABEL_DTYPE)
+    lut[present] = rank
+    return lut[labels]
+
+
 def paremsp(
     image: np.ndarray,
     n_threads: int = 4,
@@ -91,9 +146,10 @@ def paremsp(
         :class:`repro.simmachine.costmodel.CostModel` (defaults to the
         Hopper preset).
     engine:
-        ``interpreter`` (default, paper-faithful) | ``vectorized``.
-        The simulated backend models interpreter operation counts and
-        accepts only ``interpreter``.
+        ``interpreter`` (default, paper-faithful) | ``vectorized`` |
+        ``vectorized-blocks`` (8-connectivity only). The simulated
+        backend models interpreter operation counts and accepts only
+        ``interpreter``.
     recorder:
         A :class:`repro.obs.TraceRecorder` to collect per-phase /
         per-thread spans and metrics into; defaults to the ambient
@@ -126,6 +182,11 @@ def paremsp(
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; available: {list(ENGINES)}"
+        )
+    if engine == "vectorized-blocks" and connectivity != 8:
+        raise ValueError(
+            "engine 'vectorized-blocks' supports 8-connectivity only "
+            f"(got connectivity={connectivity})"
         )
     rec = recorder if recorder is not None else get_recorder()
     if backend == "simulated":
@@ -258,6 +319,12 @@ def _run_pipeline(
         limit = max((u for u in used), default=1)
         if len(label_source):
             labels = apply_table(label_source, p, limit).reshape(rows, cols)
+            if engine == "vectorized-blocks":
+                # the run kernel allocates ids in pair-traversal order,
+                # so its FLATTEN numbering already matches AREMSP; the
+                # block kernel numbers 2x2 blocks and needs the
+                # explicit remap.
+                labels = _canonical_pair_order(labels)
         else:
             labels = np.zeros((rows, cols), dtype=LABEL_DTYPE)
 

@@ -85,8 +85,13 @@ def test_registry_names_are_stable():
         "run",
         "run-vectorized",
         "multipass",
+        "propagation-vectorized",
         "suzuki",
         "contour",
+        "block2x2",
+        "itequiv",
+        "coarse2fine",
+        "auto",
     } == set(ALGORITHMS)
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ccl.multipass import multipass
+from repro.ccl.multipass import multipass, propagation_vectorized
 from repro.ccl.suzuki import suzuki
 from repro.data import spiral
-from repro.verify import flood_fill_label
+from repro.verify import flood_fill_label, labelings_equivalent
 
 
 def test_multipass_records_passes(structural_image):
@@ -46,6 +46,21 @@ def test_suzuki_table_accelerates_spiral():
         assert fast.n_components == plain.n_components == 1
         assert fast.meta["passes"] <= 5
     assert multipass(spiral((61, 61), gap=2), 8).meta["passes"] > 5
+
+
+def test_propagation_vectorized_pass_count_tracks_diameter():
+    img = np.zeros((3, 16), dtype=np.uint8)
+    img[1, :] = 1  # one horizontal line: min label must travel 15 cols
+    result = propagation_vectorized(img, 8)
+    assert result.n_components == 1
+    assert result.meta["passes"] >= 8  # Jacobi propagation, 1 col/round min
+
+
+def test_propagation_matches_multipass(structural_image):
+    a = multipass(structural_image, 8)
+    b = propagation_vectorized(structural_image, 8)
+    assert a.n_components == b.n_components
+    assert labelings_equivalent(a.labels, b.labels)
 
 
 def test_suzuki_provisional_labels_bounded(structural_image):

@@ -42,9 +42,10 @@ ALL_NAMES = sorted(ALGORITHMS)
 RASTER_ORDER = ("ccllrpc", "cclremsp", "run", "run-vectorized", "suzuki", "contour")
 
 #: algorithms whose output is canonical (raster first-appearance
-#: numbering) even though they do not scan in raster order: multipass
-#: sweeps forward and backward, then canonicalises its final labels.
-CANONICAL_OUTPUT = RASTER_ORDER + ("multipass",)
+#: numbering) even though they do not scan in raster order: the
+#: propagation engines converge to per-component *minimum* linear
+#: indexes, which sort exactly like first appearances.
+CANONICAL_OUTPUT = RASTER_ORDER + ("itequiv", "coarse2fine")
 
 #: algorithms that also support 4-connectivity.
 FOUR_CONN = tuple(n for n in ALL_NAMES if n not in EIGHT_CONNECTIVITY_ONLY)

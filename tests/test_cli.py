@@ -98,16 +98,6 @@ def test_vectorized_engine_flag(pbm_image, tmp_path):
     assert int(np.load(out).max()) == n
 
 
-def test_removed_auto_engine_exits_2(pbm_image, tmp_path, capsys):
-    path, _ = pbm_image
-    out = tmp_path / "labels.npy"
-    with pytest.raises(SystemExit) as exc:
-        main([str(path), str(out), "--engine", "auto"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'auto'" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_stats_output(pbm_image, tmp_path, capsys):
     path, _ = pbm_image
     out = tmp_path / "labels.npy"

@@ -114,11 +114,11 @@ ENTRY_POINTS = [
     pytest.param(
         lambda img: tiled_label(img, tile_shape=(4, 4)), id="tiled"
     ),
+    pytest.param(lambda img: label(img, engine="itequiv"), id="itequiv"),
     pytest.param(
-        lambda img: label(img, engine="vectorized"), id="vectorized"
+        lambda img: label(img, engine="coarse2fine"), id="coarse2fine"
     ),
-    pytest.param(lambda img: label(img, engine="multipass"), id="multipass"),
-    pytest.param(lambda img: label(img, engine="suzuki"), id="suzuki"),
+    pytest.param(lambda img: label(img, engine="auto"), id="auto"),
 ]
 
 
@@ -175,9 +175,9 @@ class TestEntryPointsShareThePolicy:
 class TestDegenerateShapesAcrossEngines:
     """0x0, 1xN, Nx1, all-foreground and all-background inputs go
     through the same validation policy and produce the same counts on
-    every engine the registry exposes beyond the paper's four."""
+    every vectorised engine the registry exposes."""
 
-    ENGINES = ("vectorized", "run", "multipass", "suzuki", "contour")
+    ENGINES = ("vectorized", "itequiv", "coarse2fine", "block2x2", "auto")
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from repro.verify.equivalence import canonicalize_labeling
 
 BACKENDS = ["serial", "threads", "processes", "simulated"]
 THREADS = [1, 2, 3, 5, 8]
-ENGINES = ["interpreter", "vectorized"]
+ENGINES = ["interpreter", "vectorized", "vectorized-blocks"]
 EXEC_BACKENDS = ["serial", "threads", "processes"]
 
 
@@ -180,6 +180,21 @@ class TestEngines:
                 assert result.n_components == seq.n_components
                 assert np.array_equal(result.labels, seq.labels)
 
+    @pytest.mark.parametrize("n_threads", [1, 3, 7])
+    def test_blocks_engine_thread_sweep_matches_aremsp(self, n_threads, rng):
+        for shape in self.SHAPES:
+            for density in (0.0, 0.45, 1.0):
+                img = (rng.random(shape) < density).astype(np.uint8)
+                seq = aremsp(img, 8)
+                result = paremsp(
+                    img,
+                    n_threads=n_threads,
+                    backend="serial",
+                    engine="vectorized-blocks",
+                )
+                assert result.n_components == seq.n_components
+                assert np.array_equal(result.labels, seq.labels)
+
     @given(
         img=hnp.arrays(
             dtype=np.uint8,
@@ -225,10 +240,8 @@ class TestEngines:
         assert result.meta["transport"] == "inline"
 
     def test_unknown_engine_rejected(self):
-        # "vectorized-blocks" is the removed 2x2-block engine
-        for engine in ("gpu", "vectorized-blocks"):
-            with pytest.raises(ValueError, match="unknown engine"):
-                paremsp(np.ones((4, 4), dtype=np.uint8), engine=engine)
+        with pytest.raises(ValueError, match="unknown engine"):
+            paremsp(np.ones((4, 4), dtype=np.uint8), engine="gpu")
 
     def test_simulated_rejects_vectorized(self):
         with pytest.raises(ValueError, match="simulated"):
@@ -236,6 +249,14 @@ class TestEngines:
                 np.ones((4, 4), dtype=np.uint8),
                 backend="simulated",
                 engine="vectorized",
+            )
+
+    def test_blocks_engine_rejects_4conn(self):
+        with pytest.raises(ValueError, match="8-connectivity"):
+            paremsp(
+                np.ones((4, 4), dtype=np.uint8),
+                connectivity=4,
+                engine="vectorized-blocks",
             )
 
     def test_empty_image_vectorized(self):
