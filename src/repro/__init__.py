@@ -106,10 +106,10 @@ def label(
     engine:
         ``None`` (the named algorithm as published), ``"vectorized"``
         as a convenience alias for the NumPy run-based engine,
-        ``"auto"`` to let the measured dispatch table pick the fastest
-        engine for this image's statistics (see
-        :mod:`repro.ccl.dispatch`), or any registry name (``"itequiv"``,
-        ``"coarse2fine"``, ``"block2x2"``, ...) to force that kernel.
+        or any registry name (``"auto"``, ``"itequiv"``,
+        ``"coarse2fine"``, ``"block2x2"``, ...) to force that kernel;
+        none of those beat ``"vectorized"`` on the benchmark rasters
+        (``docs/ALGORITHMS.md``).
 
     Returns
     -------

@@ -35,6 +35,11 @@ diff.
 Tiny images short-circuit to the default engine: below
 :data:`SMALL_IMAGE_PIXELS` the constant costs of any vectorised kernel
 dominate and measuring them is noise.
+
+On the benchmark rasters (2048² and 4096², 2 vCPUs) the table's one
+route away from ``run-vectorized`` gains nothing beyond run-to-run
+spread, and the statistics make ``auto`` slower than calling
+``run-vectorized`` directly; ``docs/ALGORITHMS.md`` has the figures.
 """
 
 from __future__ import annotations

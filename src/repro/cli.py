@@ -44,13 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("python", "vectorized", "auto", "itequiv", "coarse2fine",
-                 "block2x2"),
+        choices=("python", "vectorized"),
         default=None,
-        help="force an engine: vectorized = NumPy run-based; auto = "
-        "density-aware dispatch over the measured fastest engine per "
-        "image regime; itequiv/coarse2fine/block2x2 = that whole-array "
-        "kernel",
+        help="force an engine: vectorized = NumPy run-based (the other "
+        "registry engines are --algorithm names)",
     )
     parser.add_argument(
         "--connectivity", type=int, choices=(4, 8), default=8
@@ -542,8 +539,6 @@ def main(argv: list[str] | None = None) -> int:
 
     elif args.engine == "vectorized":
         fn = get_algorithm("run-vectorized")
-    elif args.engine not in (None, "python"):
-        fn = get_algorithm(args.engine)  # auto / itequiv / coarse2fine / ...
     else:
         fn = get_algorithm(args.algorithm)
     with _maybe_profiler(args) as prof:

@@ -99,7 +99,6 @@ class ServiceConfig:
     slot_shape: tuple[int, int] = DEFAULT_SLOT_SHAPE
     connectivity: int = 8
     latency_window: int = 512
-    engine: str = "run-vectorized"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -119,11 +118,6 @@ class ServiceConfig:
         if self.batch_window < 0:
             raise ValueError(
                 f"batch_window must be >= 0, got {self.batch_window}"
-            )
-        if self.engine not in ("run-vectorized", "auto"):
-            raise ValueError(
-                f"engine must be 'run-vectorized' or 'auto', "
-                f"got {self.engine!r}"
             )
 
 
@@ -190,7 +184,6 @@ class LabelService:
             batch_slots=self.config.batch_size,
             slot_shape=self.config.slot_shape,
             connectivity=self.config.connectivity,
-            engine=self.config.engine,
             resilience=resilience,
             fault_plan=fault_plan,
             recorder=self._rec,

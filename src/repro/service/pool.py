@@ -95,20 +95,11 @@ class _WorkerDied(Exception):
         self.exitcode = exitcode
 
 
-def _worker_label_fn(engine: str):
-    """Resolve the worker's label callable from the engine name."""
-    if engine == "auto":
-        from ..ccl.dispatch import auto_label
-
-        return auto_label
-    return run_based_vectorized
-
-
 def _pool_worker(args: tuple) -> None:
     """Worker main loop: attach once, serve label requests forever.
 
     ``args`` is ``(img_name, lab_name, n_slots, slot_px, conn,
-    parent_pid, directives, engine)``. Requests are ``("job", job_id,
+    parent_pid, directives)``. Requests are ``("job", job_id,
     [(slot, rows, cols, request_id), ...], connectivity, trace)``; the
     reply is ``("done", job_id, [n_components, ...], spans)`` — labels
     travel through the shared label plane, never the pipe. When
@@ -128,7 +119,6 @@ def _pool_worker(args: tuple) -> None:
         conn,
         parent_pid,
         directives,
-        engine,
     ) = args
     try:
         segs = [_attach(img_name), _attach(lab_name)]
@@ -138,7 +128,6 @@ def _pool_worker(args: tuple) -> None:
         lab_arena = np.ndarray(
             (n_slots, slot_px), dtype=LABEL_DTYPE, buffer=segs[1].buf
         )
-        label_fn = _worker_label_fn(engine)
         pid = os.getpid()
         served = 0
         while True:
@@ -159,7 +148,7 @@ def _pool_worker(args: tuple) -> None:
             for slot, rows, cols, request_id in items:
                 img = img_arena[slot, : rows * cols].reshape(rows, cols)
                 t0 = time.perf_counter()
-                local = label_fn(img, connectivity)
+                local = run_based_vectorized(img, connectivity)
                 t1 = time.perf_counter()
                 lab_arena[slot, : rows * cols] = local.labels.ravel()
                 counts.append(int(local.n_components))
@@ -167,10 +156,6 @@ def _pool_worker(args: tuple) -> None:
                     attrs = {"pid": pid, "engine": local.algorithm}
                     if request_id is not None:
                         attrs["request_id"] = request_id
-                    dispatch = (local.meta or {}).get("dispatch")
-                    if dispatch:
-                        attrs["dispatch_rule"] = dispatch.get("rule")
-                        attrs["dispatch_engine"] = dispatch.get("engine")
                     spans.append(
                         ("main", "request", t0, t1, 0, attrs)
                     )
@@ -215,11 +200,6 @@ class WarmWorkerPool:
         problem (the front end rejects them at admission).
     connectivity:
         Default connectivity for :meth:`dispatch`.
-    engine:
-        Worker-side labeling engine: ``"run-vectorized"`` (default,
-        the PR-1 determinism contract) or ``"auto"`` (the measured
-        dispatcher — its pick lands in the worker span's
-        ``dispatch_engine``/``dispatch_rule`` attrs).
     resilience / fault_plan / recorder:
         The usual knobs (:class:`~repro.faults.ResilienceConfig`
         respawn budgets; ambient fault plan; ambient-or-given trace
@@ -240,18 +220,12 @@ class WarmWorkerPool:
         batch_slots: int = 8,
         slot_shape: tuple[int, int] = DEFAULT_SLOT_SHAPE,
         connectivity: int = 8,
-        engine: str = "run-vectorized",
         resilience=None,
         fault_plan=None,
         recorder=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if engine not in ("run-vectorized", "auto"):
-            raise ValueError(
-                f"engine must be 'run-vectorized' or 'auto', "
-                f"got {engine!r}"
-            )
         if batch_slots < 1:
             raise ValueError(
                 f"batch_slots must be >= 1, got {batch_slots}"
@@ -266,7 +240,6 @@ class WarmWorkerPool:
         self.slot_shape = (int(rows), int(cols))
         self.slot_px = int(rows) * int(cols)
         self.connectivity = connectivity
-        self.engine = engine
         self.resilience = (
             resilience if resilience is not None else DEFAULT_RESILIENCE
         )
@@ -351,7 +324,6 @@ class WarmWorkerPool:
             child_conn,
             os.getpid(),
             directives,
-            self.engine,
         )
         proc = self._ctx.Process(
             target=_pool_worker, args=(job,), daemon=True

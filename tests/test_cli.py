@@ -98,6 +98,19 @@ def test_vectorized_engine_flag(pbm_image, tmp_path):
     assert int(np.load(out).max()) == n
 
 
+@pytest.mark.parametrize(
+    "name", ["auto", "itequiv", "coarse2fine", "block2x2"]
+)
+def test_engine_flag_rejects_registry_names(pbm_image, tmp_path, capsys, name):
+    path, _ = pbm_image
+    out = tmp_path / "labels.npy"
+    with pytest.raises(SystemExit) as exc:
+        main([str(path), str(out), "--engine", name])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{name}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_output(pbm_image, tmp_path, capsys):
     path, _ = pbm_image
     out = tmp_path / "labels.npy"
