@@ -36,6 +36,7 @@ import numpy as np
 
 from ..errors import InputError
 from ..obs import get_recorder
+from ..types import binary_pixels
 from ..unionfind.remsp import find_root, merge as remsp_merge
 from .run_based import row_runs
 
@@ -192,37 +193,21 @@ class StreamingLabeler:
     def push_row(self, row: np.ndarray) -> list[FinishedComponent]:
         """Consume one row; return components finalised by it.
 
-        Rows are validated like every other public input (see
-        :func:`repro.types.ensure_input`): ``bool`` and wide-integer
-        rows are coerced, values outside ``{0, 1}`` raise
-        :class:`~repro.errors.InputError`.
+        A row meets the library's one input policy
+        (:func:`repro.types.binary_pixels`, the value rule of
+        :func:`repro.types.ensure_input`): ``bool``, wide-integer and
+        binary float rows are coerced; other dtypes and values outside
+        ``{0, 1}`` raise :class:`~repro.errors.ImageFormatError`. A row
+        of the wrong width raises :class:`~repro.errors.InputError`.
         """
         if self._finished:
             raise RuntimeError("labeler already finished")
-        row = np.asarray(row)
-        if row.dtype.kind == "b":
-            row = row.astype(np.uint8)
-        elif row.dtype.kind == "f":
-            if row.size and not np.isin(row, (0.0, 1.0)).all():
-                raise InputError(
-                    "float row must contain only 0.0 and 1.0"
-                )
-            row = row.astype(np.uint8)
-        elif row.dtype.kind not in "ui":
-            raise InputError(
-                f"unsupported row dtype {row.dtype!r}; expected a "
-                "boolean, integer, or binary float row"
-            )
-        row = row.ravel()
+        row = np.asarray(row).ravel()
         if len(row) != self.cols:
             raise InputError(
                 f"expected a row of width {self.cols}, got {len(row)}"
             )
-        if row.size and (row.max() > 1 or row.min() < 0):
-            bad = np.unique(row[(row > 1) | (row < 0)])
-            raise InputError(
-                f"row may contain only 0 and 1, found {bad[:8]!r}"
-            )
+        row = binary_pixels(row, "row")
         p = self._p
         r = self._row
         cur: list[tuple[int, int, int]] = []

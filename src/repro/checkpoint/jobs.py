@@ -37,7 +37,6 @@ per-row/per-tile hook degenerates to one ``enabled`` attribute test
 from __future__ import annotations
 
 import dataclasses
-import os
 import pathlib
 
 import numpy as np
@@ -45,14 +44,14 @@ from numpy.lib.format import open_memmap
 
 from ..ccl.run_based import run_based_vectorized
 from ..ccl.streaming import StreamingLabeler
-from ..errors import BackendError, CheckpointCorruptError, InputError
+from ..errors import BackendError, CheckpointCorruptError
 from ..obs import get_recorder
 from ..parallel.backends.executor import map_with_payload
 from ..parallel.boundary import merge_boundary_row
-from ..types import LABEL_DTYPE
+from ..types import LABEL_DTYPE, ensure_lazy_input
 from ..unionfind.flatten import flatten
 from ..unionfind.remsp import merge as remsp_merge
-from .snapshot import NULL_CHECKPOINT, SnapshotStore
+from .snapshot import NULL_CHECKPOINT, SnapshotStore, durable_replace
 
 __all__ = ["JobResult", "StreamingJob", "TiledJob"]
 
@@ -75,41 +74,6 @@ class JobResult:
     meta: dict = dataclasses.field(default_factory=dict)
 
 
-def _check_image(image: np.ndarray, what: str = "image") -> np.ndarray:
-    """Light validation that never materialises a memmap.
-
-    Shape/dtype-kind checks happen here; pixel *values* are validated
-    lazily — per row by the streaming labeler, per tile by the
-    vectorised tile kernel — so a 465 MB memmap is only ever read once.
-    """
-    arr = np.asarray(image) if not isinstance(image, np.memmap) else image
-    if arr.ndim != 2:
-        raise InputError(f"{what} must be 2-D, got shape {arr.shape!r}")
-    if arr.dtype.kind not in "buif":
-        raise InputError(
-            f"unsupported {what} dtype {arr.dtype!r}; expected a "
-            "boolean, integer, or binary float array"
-        )
-    return arr
-
-
-def _finalize_output(partial: pathlib.Path, out: pathlib.Path) -> None:
-    """Durably promote the work file to the final output path."""
-    fd = os.open(partial, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(partial, out)
-    dfd = os.open(out.parent, os.O_RDONLY)
-    try:
-        os.fsync(dfd)
-    except OSError:  # pragma: no cover - filesystem-dependent
-        pass
-    finally:
-        os.close(dfd)
-
-
 class _JobBase:
     """Shared store/paths plumbing for the two job shapes."""
 
@@ -123,7 +87,7 @@ class _JobBase:
         recorder=None,
         fault_plan=None,
     ) -> None:
-        self.image = _check_image(image)
+        self.image = ensure_lazy_input(image)
         self.out = pathlib.Path(out)
         self.partial = self.out.with_name(self.out.name + ".partial")
         self.every = int(every)
@@ -269,7 +233,7 @@ class StreamingJob(_JobBase):
             paint(comp)
         mm.flush()
         del mm
-        _finalize_output(self.partial, self.out)
+        durable_replace(self.partial, self.out)
         if store.enabled:
             store.clear()
         return JobResult(
@@ -558,7 +522,7 @@ class TiledJob(_JobBase):
                 )
         final.flush()
         del final, prov
-        _finalize_output(self.partial, self.out)
+        durable_replace(self.partial, self.out)
         self.prov_path.unlink(missing_ok=True)
         if store.enabled:
             store.clear()

@@ -72,14 +72,21 @@ def _fsync_dir(path: pathlib.Path) -> None:
         pass
 
 
-def _write_atomic(path: pathlib.Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + _TMP_SUFFIX)
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
+def durable_replace(tmp: pathlib.Path, path: pathlib.Path) -> None:
+    """Durably move the finished file *tmp* to *path*.
+
+    *tmp* is fsynced before the rename, so *path* never names a torn
+    file, and the directory after it, so the rename survives a crash.
+    """
+    _fsync_path(tmp)
     os.replace(tmp, path)
     _fsync_dir(path.parent)
+
+
+def _write_atomic(path: pathlib.Path, data: bytes) -> None:
+    tmp = path.with_name(path.name + _TMP_SUFFIX)
+    tmp.write_bytes(data)
+    durable_replace(tmp, path)
 
 
 class NullCheckpointer:

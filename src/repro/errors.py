@@ -44,10 +44,10 @@ class ReproError(Exception):
 class InputError(ReproError, ValueError):
     """A public-API input array is unusable as given.
 
-    The umbrella for every input-shape/dtype/layout rejection the
-    validated entry points (``label``, ``label_parallel``/``paremsp``,
-    the streaming labeler, ``tiled_label``) can make: non-2-D arrays,
-    unsupported dtypes, values outside ``{0, 1}``. Layout oddities
+    The umbrella for every input rejection the entry points and
+    engines can make: non-2-D arrays, unsupported dtypes and values
+    outside ``{0, 1}`` (all from :func:`repro.types.ensure_input` and
+    its forms, as :class:`ImageFormatError`). Layout oddities
     (Fortran order, non-contiguous views, read-only memmaps, ``bool`` /
     ``uint16`` pixels) are *coerced*, not rejected — only genuinely
     uninterpretable inputs raise. Subclasses ``ValueError`` so
@@ -58,9 +58,10 @@ class InputError(ReproError, ValueError):
 class ImageFormatError(InputError):
     """An input array is not a valid binary image for CCL.
 
-    Raised for non-2D inputs, unsupported dtypes, or pixel values outside
-    ``{0, 1}`` when strict validation is requested, and by the PNM codec for
-    malformed files.
+    Raised by the one input gate (:func:`repro.types.ensure_input` and
+    its lazy and per-row forms) for non-2D inputs, unsupported dtypes or
+    pixel values outside ``{0, 1}``, and by the PNM codec for malformed
+    files.
     """
 
 

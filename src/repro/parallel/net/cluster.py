@@ -58,10 +58,10 @@ from ...faults import (
 )
 from ...obs import NULL_RECORDER, PhaseTimer, get_recorder
 from ...obs.runtime import get_runtime_aggregator
+from ...types import ensure_input, ensure_lazy_input
 from ..backends.executor import executor_context
 from ..sharded import (
     _compute_offsets,
-    _ensure_shard_image,
     _finalize_output,
     _flatten_lut,
     _init_scratch,
@@ -740,7 +740,10 @@ def net_shard_label(
     th, tw = tile_shape
     if th < 1 or tw < 1:
         raise ValueError(f"tile dimensions must be >= 1, got {tile_shape!r}")
-    image = _ensure_shard_image(image)
+    if isinstance(image, np.memmap):
+        image = ensure_lazy_input(image)
+    else:
+        image = ensure_input(image)
     rows, cols = image.shape
     check_label_capacity((rows, cols))
     if rows == 0 or cols == 0:

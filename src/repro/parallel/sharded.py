@@ -59,8 +59,8 @@ from numpy.lib.format import open_memmap
 
 from ..ccl.labeling import CCLResult, check_label_capacity
 from ..ccl.run_based import run_based_vectorized
-from ..checkpoint.snapshot import SnapshotStore
-from ..errors import InputError, PhaseTimeoutError, ResumeMismatchError, WorkerCrashError
+from ..checkpoint.snapshot import SnapshotStore, durable_replace
+from ..errors import PhaseTimeoutError, ResumeMismatchError, WorkerCrashError
 from ..faults import (
     DEFAULT_RESILIENCE,
     NULL_PLAN,
@@ -68,7 +68,7 @@ from ..faults import (
     record_injection,
 )
 from ..obs import NULL_RECORDER, PhaseTimer, get_recorder
-from ..types import LABEL_DTYPE, ensure_input
+from ..types import LABEL_DTYPE, ensure_input, ensure_lazy_input
 from ..unionfind.flatten import flatten
 from ..unionfind.remsp import merge as remsp_merge
 from .backends.executor import executor_context
@@ -908,25 +908,6 @@ def _run_phase(
 # ---------------------------------------------------------------------------
 
 
-def _ensure_shard_image(image) -> np.ndarray:
-    """Validate a shard-job input without materialising a memmap.
-
-    ``ensure_input`` would copy a multi-GB memmap into RAM, defeating
-    the out-of-core point; memmaps are validated structurally instead.
-    Shared by the single-host and multi-host coordinators.
-    """
-    if isinstance(image, np.memmap):
-        if image.ndim != 2:
-            raise InputError(f"image must be 2-D, got shape {image.shape!r}")
-        if image.dtype.kind not in "buif":
-            raise InputError(
-                f"unsupported image dtype {image.dtype!r}; expected a "
-                "boolean, integer, or binary float array"
-            )
-        return image
-    return ensure_input(image)
-
-
 def _init_scratch(
     scratch: pathlib.Path, fingerprint: dict, rows: int, cols: int
 ) -> None:
@@ -1030,19 +1011,7 @@ def _finalize_output(
     gather(mm)
     mm.flush()
     del mm
-    fd = os.open(tmp, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, out)
-    dfd = os.open(out.parent, os.O_RDONLY)
-    try:
-        os.fsync(dfd)
-    except OSError:  # pragma: no cover - filesystem-dependent
-        pass
-    finally:
-        os.close(dfd)
+    durable_replace(tmp, out)
     return np.load(out, mmap_mode="r")
 
 
@@ -1069,6 +1038,11 @@ def shard_label(
     ``tiled_label(image, tile_shape, connectivity)`` — under any number
     of shards, any rank deaths the recovery machinery survives, and any
     injected fault of the chaos matrix.
+
+    *image* meets the same input policy as ``tiled_label``: an
+    in-memory image passes :func:`repro.types.ensure_input`; a memmap
+    passes :func:`repro.types.ensure_lazy_input` and each tile's values
+    are checked by the rank that scans it, so the raster is read once.
 
     Parameters
     ----------
@@ -1118,7 +1092,10 @@ def shard_label(
     th, tw = tile_shape
     if th < 1 or tw < 1:
         raise ValueError(f"tile dimensions must be >= 1, got {tile_shape!r}")
-    image = _ensure_shard_image(image)
+    if isinstance(image, np.memmap):
+        image = ensure_lazy_input(image)
+    else:
+        image = ensure_input(image)
     rows, cols = image.shape
     check_label_capacity((rows, cols))
     if rows == 0 or cols == 0:

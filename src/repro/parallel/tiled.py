@@ -29,9 +29,9 @@ import numpy as np
 
 from ..ccl.labeling import CCLResult, check_label_capacity
 from ..ccl.run_based import run_based_vectorized
-from ..errors import InputError
+from ..checkpoint.snapshot import durable_replace
 from ..obs import PhaseTimer, get_recorder
-from ..types import LABEL_DTYPE, ensure_input
+from ..types import LABEL_DTYPE, ensure_input, ensure_lazy_input
 from ..unionfind.flatten import flatten
 from ..unionfind.remsp import merge as remsp_merge
 from .boundary import merge_boundary_row
@@ -66,13 +66,11 @@ def _finalize_memmap(
     """Gather final labels into *out* with fsync + atomic rename.
 
     Writes tile-row blocks through the LUT into ``<out>.tmp``, flushes
-    the memmap, ``fsync``'s the file and only then renames it over
-    *out* (followed by a directory fsync) — the two-step the checkpoint
-    store uses for its payloads, applied to the result artifact. Returns
-    a read-only memmap of the finalised file.
+    the memmap, then promotes it over *out* with
+    :func:`~repro.checkpoint.snapshot.durable_replace` (file fsync,
+    rename, directory fsync) — the promote the checkpoint store uses for
+    its payloads. Returns a read-only memmap of the finalised file.
     """
-    import os
-
     from numpy.lib.format import open_memmap
 
     out = pathlib.Path(out)
@@ -83,19 +81,7 @@ def _finalize_memmap(
         mm[r0 : r0 + th] = lut[labels[r0 : r0 + th]]
     mm.flush()
     del mm
-    fd = os.open(tmp, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, out)
-    dfd = os.open(out.parent, os.O_RDONLY)
-    try:
-        os.fsync(dfd)
-    except OSError:  # pragma: no cover - filesystem-dependent
-        pass
-    finally:
-        os.close(dfd)
+    durable_replace(tmp, out)
     return np.load(out, mmap_mode="r")
 
 
@@ -120,6 +106,12 @@ def tiled_label(
     spans on the in-process path), seam unions are counted, and the
     result's ``timings`` field carries the run's report.
 
+    *image* meets the library's one input policy
+    (:func:`repro.types.ensure_input`). A memmap is not read up front:
+    :func:`repro.types.ensure_lazy_input` checks its shape and dtype,
+    and the tile kernel checks each tile's values as it reads them, so
+    the raster is read once.
+
     *out*, when given, is a ``.npy`` path the final labels are written
     to **atomically**: the gather lands in ``<out>.tmp``, is flushed
     and ``fsync``'d, and only then renamed over *out* — a run killed
@@ -140,17 +132,7 @@ def tiled_label(
         raise ValueError(f"workers must be >= 1, got {workers}")
     rec = recorder if recorder is not None else get_recorder()
     if isinstance(image, np.memmap):
-        # memmap slices stay lazy; per-tile validation happens inside
-        # the tile kernel so the raster is only ever read once
-        if image.ndim != 2:
-            raise InputError(
-                f"image must be 2-D, got shape {image.shape!r}"
-            )
-        if image.dtype.kind not in "buif":
-            raise InputError(
-                f"unsupported image dtype {image.dtype!r}; expected a "
-                "boolean, integer, or binary float array"
-            )
+        image = ensure_lazy_input(image)
     else:
         image = ensure_input(image)
     rows, cols = image.shape

@@ -14,8 +14,8 @@ Request lifecycle:
 2. **micro-batching** — a dispatcher thread drains the queue into
    batches of up to ``batch_size`` requests (a lone request ships as a
    1-image batch; it never waits for company longer than
-   ``batch_window``) and dispatches each batch to one warm worker as a
-   single pipe round-trip;
+   :data:`BATCH_WINDOW`) and dispatches each batch to one warm worker
+   as a single pipe round-trip;
 3. **completion** — each request's ``Future`` resolves to
    ``(labels, n_components)``, byte-identical to a direct
    :func:`repro.label` call;
@@ -77,6 +77,10 @@ from .pool import DEFAULT_SLOT_SHAPE, WarmWorkerPool
 
 __all__ = ["ServiceConfig", "LabelService", "ServiceStats"]
 
+#: How long (seconds) a dispatcher holding fewer than ``batch_size``
+#: queued requests waits for batchmates before it ships them.
+BATCH_WINDOW = 0.002
+
 
 @dataclasses.dataclass(frozen=True)
 class ServiceConfig:
@@ -84,16 +88,13 @@ class ServiceConfig:
 
     ``max_queue`` bounds admission (backpressure past it);
     ``tenant_quota`` bounds one tenant's in-flight requests (queued +
-    executing); ``batch_size`` is the micro-batch ceiling and
-    ``batch_window`` how long a lone request may wait for company
-    (seconds — keep it well under a millisecond-scale SLO);
+    executing); ``batch_size`` is the micro-batch ceiling;
     ``latency_window`` sizes the sliding sample the percentile gauges
     are computed over.
     """
 
     workers: int = 2
     batch_size: int = 8
-    batch_window: float = 0.002
     max_queue: int = 64
     tenant_quota: int = 32
     slot_shape: tuple[int, int] = DEFAULT_SLOT_SHAPE
@@ -114,10 +115,6 @@ class ServiceConfig:
         if self.tenant_quota < 1:
             raise ValueError(
                 f"tenant_quota must be >= 1, got {self.tenant_quota}"
-            )
-        if self.batch_window < 0:
-            raise ValueError(
-                f"batch_window must be >= 0, got {self.batch_window}"
             )
 
 
@@ -457,15 +454,12 @@ class LabelService:
                 if (
                     len(self._queue) < self.config.batch_size
                     and self._state == "running"
-                    and self.config.batch_window > 0
                 ):
                     # brief company window: a lone request never waits
-                    # longer than batch_window for batchmates. The wait
+                    # longer than BATCH_WINDOW for batchmates. The wait
                     # drops the lock, so a sibling dispatcher may have
                     # taken the queue — re-check before popping.
-                    self._work_ready.wait(
-                        timeout=self.config.batch_window
-                    )
+                    self._work_ready.wait(timeout=BATCH_WINDOW)
                 if self._queue:
                     break
             batch = [self._queue.pop(0)]

@@ -22,6 +22,8 @@ from typing import Any
 
 import numpy as np
 
+from .errors import ImageFormatError
+
 __all__ = [
     "LABEL_DTYPE",
     "PIXEL_DTYPE",
@@ -29,7 +31,9 @@ __all__ = [
     "FOREGROUND",
     "Connectivity",
     "as_binary_image",
+    "binary_pixels",
     "ensure_input",
+    "ensure_lazy_input",
     "max_labels_for",
 ]
 
@@ -58,54 +62,74 @@ class Connectivity(enum.IntEnum):
     EIGHT = 8
 
 
-def as_binary_image(image: Any, *, validate: bool = True) -> np.ndarray:
-    """Coerce *image* to the canonical binary-image representation.
+def _as_array(image: Any) -> np.ndarray:
+    try:
+        return np.asarray(image)
+    except Exception as exc:  # ragged lists, unconvertible objects
+        raise ImageFormatError(
+            f"image is not convertible to an array: {exc}"
+        ) from exc
 
-    Accepts anything :func:`numpy.asarray` accepts. Boolean arrays are
-    reinterpreted as ``{0, 1}``; other dtypes are kept but (optionally)
-    validated to contain only ``0`` and ``1``.
 
-    Parameters
-    ----------
-    image:
-        Array-like 2-D input.
-    validate:
-        When true (default), raise :class:`~repro.errors.ImageFormatError`
-        on non-2-D input or on pixel values outside ``{0, 1}``. Disable for
-        hot paths that already guarantee canonical input.
+def _check_2d(arr: np.ndarray) -> None:
+    if arr.ndim != 2:
+        raise ImageFormatError(
+            f"image must be 2-D, got shape {arr.shape!r}"
+            + (" (see repro.volume for 3-D labeling)" if arr.ndim == 3 else "")
+        )
 
-    Returns
-    -------
-    numpy.ndarray
-        C-contiguous ``uint8`` array of the same shape, values in ``{0,1}``.
+
+def _check_kind(arr: np.ndarray, what: str) -> None:
+    if arr.dtype.kind not in "buif":
+        raise ImageFormatError(
+            f"unsupported {what} dtype {arr.dtype!r}; expected a "
+            "boolean, integer, or binary float array"
+        )
+
+
+def binary_pixels(arr: np.ndarray, what: str = "image") -> np.ndarray:
+    """Return *arr* as ``uint8`` once its dtype and every value pass.
+
+    The dtype-and-value half of :func:`ensure_input`, for an array of
+    any shape (the streaming labeler checks one row at a time):
+
+    * ``bool`` is converted;
+    * integers pass with one ``max`` reduction, plus a ``min`` for
+      signed dtypes, so no boolean temporary is allocated;
+    * floats must hold exactly ``0.0`` and ``1.0``;
+    * any other dtype kind, and any value outside ``{0, 1}``, raises
+      :class:`~repro.errors.ImageFormatError`.
+
+    *what* names the input in error messages. A ``uint8`` array comes
+    back as the same object.
     """
-    from .errors import ImageFormatError
-
-    arr = np.asarray(image)
-    if arr.dtype == np.bool_:
-        arr = arr.astype(PIXEL_DTYPE)
-    if validate:
-        if arr.ndim != 2:
+    _check_kind(arr, what)
+    kind = arr.dtype.kind
+    if kind == "f":
+        # accept float rasters that are exactly binary (e.g. thresholded
+        # images saved as float); anything else needs explicit im2bw
+        if arr.size and not np.isin(arr, (0.0, 1.0)).all():
             raise ImageFormatError(
-                f"binary image must be 2-D, got shape {arr.shape!r}"
+                f"float {what} must contain only 0.0 and 1.0; threshold "
+                "it first (repro.data.binarize.im2bw)"
             )
-        if arr.size and not np.isin(arr, (BACKGROUND, FOREGROUND)).all():
-            bad = np.unique(arr[~np.isin(arr, (BACKGROUND, FOREGROUND))])
-            raise ImageFormatError(
-                f"binary image may contain only 0 and 1, found {bad[:8]!r}"
-            )
-    if arr.dtype != PIXEL_DTYPE:
-        arr = arr.astype(PIXEL_DTYPE)
-    return np.ascontiguousarray(arr)
+    elif kind != "b" and arr.size and (
+        arr.max() > FOREGROUND or (kind == "i" and arr.min() < BACKGROUND)
+    ):
+        bad = np.unique(arr[(arr < BACKGROUND) | (arr > FOREGROUND)])
+        raise ImageFormatError(
+            f"{what} may contain only 0 and 1, found {bad[:8]!r}"
+        )
+    return arr if arr.dtype == PIXEL_DTYPE else arr.astype(PIXEL_DTYPE)
 
 
-def ensure_input(image: Any, *, what: str = "image") -> np.ndarray:
-    """Validate and canonicalise a public-API binary image.
+def ensure_input(image: Any) -> np.ndarray:
+    """Validate and canonicalise a binary image: the library's one gate.
 
-    One gate shared by every labeling entry point (``label``,
-    ``label_parallel``/``paremsp``, the streaming labeler,
-    ``tiled_label``) so layout oddities meet one policy instead of
-    backend-specific crashes:
+    Every entry point (``label``, ``label_parallel``/``paremsp``,
+    ``tiled_label``, ``shard_label``, the service) calls it, and every
+    engine calls it as :data:`as_binary_image`, so an image meets the
+    same policy whichever function it enters through:
 
     * **coerced** — ``bool`` and wider integer dtypes (``uint16``,
       ``int64``, ...), float arrays whose values are exactly ``{0, 1}``,
@@ -113,11 +137,15 @@ def ensure_input(image: Any, *, what: str = "image") -> np.ndarray:
       buffers/memmaps (copied only when a dtype or layout change forces
       it; a canonical read-only array passes through untouched — the
       engines never write into their input);
-    * **rejected** with :class:`~repro.errors.InputError` — non-2-D
-      arrays, complex/object/string dtypes, and any value outside
-      ``{0, 1}``.
+    * **rejected** with :class:`~repro.errors.ImageFormatError` (an
+      :class:`~repro.errors.InputError`) — non-2-D arrays,
+      complex/object/string dtypes, and any value outside ``{0, 1}``
+      (see :func:`binary_pixels`).
 
-    Returns a C-contiguous ``uint8`` array with values in ``{0, 1}``.
+    Returns a C-contiguous ``uint8`` array with values in ``{0, 1}``;
+    input already in that form is returned as the same object. Entry
+    points that label a memmap tile by tile use
+    :func:`ensure_lazy_input` for it instead.
 
     >>> import numpy as np
     >>> f = np.asfortranarray(np.eye(3, dtype=np.uint16))
@@ -125,43 +153,35 @@ def ensure_input(image: Any, *, what: str = "image") -> np.ndarray:
     >>> out.dtype.name, out.flags.c_contiguous
     ('uint8', True)
     """
-    from .errors import InputError
+    arr = _as_array(image)
+    _check_2d(arr)
+    arr = binary_pixels(arr)
+    return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
 
-    try:
-        arr = np.asarray(image)
-    except Exception as exc:  # ragged lists, unconvertible objects
-        raise InputError(f"{what} is not convertible to an array: {exc}") from exc
-    if arr.ndim != 2:
-        raise InputError(
-            f"{what} must be 2-D, got shape {arr.shape!r}"
-            + (" (see repro.volume for 3-D labeling)" if arr.ndim == 3 else "")
-        )
-    kind = arr.dtype.kind
-    if kind == "b":
-        arr = arr.astype(PIXEL_DTYPE)
-    elif kind == "f":
-        # accept float rasters that are exactly binary (e.g. thresholded
-        # images saved as float); anything else needs explicit im2bw
-        if arr.size and not np.isin(arr, (0.0, 1.0)).all():
-            raise InputError(
-                f"float {what} must contain only 0.0 and 1.0; threshold "
-                "it first (repro.data.binarize.im2bw)"
-            )
-        arr = arr.astype(PIXEL_DTYPE)
-    elif kind not in "ui":
-        raise InputError(
-            f"unsupported {what} dtype {arr.dtype!r}; expected a "
-            "boolean, integer, or binary float array"
-        )
-    if arr.size and not np.isin(arr, (BACKGROUND, FOREGROUND)).all():
-        bad = np.unique(arr[~np.isin(arr, (BACKGROUND, FOREGROUND))])
-        raise InputError(
-            f"{what} may contain only 0 and 1, found {bad[:8]!r}"
-        )
-    if arr.dtype != PIXEL_DTYPE:
-        arr = arr.astype(PIXEL_DTYPE)
-    if not arr.flags.c_contiguous:
-        arr = np.ascontiguousarray(arr)
+
+#: The engines' name for :func:`ensure_input`: the same function, so a
+#: registry engine called directly applies the entry points' policy.
+as_binary_image = ensure_input
+
+
+def ensure_lazy_input(image: Any) -> np.ndarray:
+    """Check the shape and dtype kind of *image*, not its pixels.
+
+    The lazy form of :func:`ensure_input` for callers that label an
+    image a tile or a row at a time (``tiled_label`` and the shard
+    coordinators for memmaps, the checkpointed jobs for any image). The
+    values are left to the kernel: each tile goes through
+    :data:`as_binary_image` and each row through
+    :meth:`~repro.ccl.streaming.StreamingLabeler.push_row`, which apply
+    the same :func:`binary_pixels` rule, so a memmap is read once.
+
+    A memmap is returned as it is; anything else as
+    :func:`numpy.asarray` gives it. Non-2-D input and unsupported dtype
+    kinds raise :class:`~repro.errors.ImageFormatError`.
+    """
+    arr = image if isinstance(image, np.memmap) else _as_array(image)
+    _check_2d(arr)
+    _check_kind(arr, "image")
     return arr
 
 

@@ -4,8 +4,9 @@
 non-contiguous views, bool/uint16 dtypes, read-only memmaps, binary
 floats) and rejects garbage with a typed
 :class:`~repro.errors.InputError` — the same outcome whether the pixels
-enter through ``label``, ``paremsp``, ``tiled_label``, the streaming
-labeler, or a checkpointed job.
+enter through ``label``, ``paremsp``, ``tiled_label``, ``shard_label``,
+a registry engine called directly, the streaming labeler, or a
+checkpointed job.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import numpy as np
 import pytest
 
 from repro import label
+from repro.ccl.run_based import run_based_vectorized
 from repro.ccl.streaming import StreamingLabeler
+from repro.checkpoint import TiledJob
 from repro.errors import ImageFormatError, InputError, ReproError
 from repro.parallel.paremsp import paremsp
+from repro.parallel.sharded import shard_label
 from repro.parallel.tiled import tiled_label
 from repro.types import ensure_input
 
@@ -119,6 +123,11 @@ ENTRY_POINTS = [
         lambda img: label(img, engine="coarse2fine"), id="coarse2fine"
     ),
     pytest.param(lambda img: label(img, engine="auto"), id="auto"),
+    pytest.param(run_based_vectorized, id="run-vectorized"),
+    pytest.param(
+        lambda img: shard_label(img, n_shards=2, tile_shape=(4, 4)),
+        id="shard",
+    ),
 ]
 
 
@@ -160,16 +169,32 @@ class TestEntryPointsShareThePolicy:
         with pytest.raises(InputError):
             run(np.zeros((2, 2, 2), dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "dtype", [np.complex128, object], ids=["complex128", "object"]
+    )
+    @pytest.mark.parametrize("run", ENTRY_POINTS)
+    def test_exotic_dtype_rejected(self, run, dtype):
+        with pytest.raises(InputError):
+            run(np.eye(8, dtype=dtype))
+
     def test_tiled_memmap_stays_lazy_but_checked(self, tmp_path):
+        """The one lazy rule at its three callers: a memmap's shape is
+        checked up front, its values tile by tile."""
         np.save(tmp_path / "img.npy", np.eye(8, dtype=np.uint8))
         mm = np.load(tmp_path / "img.npy", mmap_mode="r")
-        assert tiled_label(mm, tile_shape=(4, 4)).n_components == 1
         np.save(tmp_path / "deep.npy", np.zeros((2, 2, 2), dtype=np.uint8))
-        with pytest.raises(InputError):
-            tiled_label(
-                np.load(tmp_path / "deep.npy", mmap_mode="r"),
-                tile_shape=(4, 4),
-            )
+        deep = np.load(tmp_path / "deep.npy", mmap_mode="r")
+        runs = (
+            lambda img: tiled_label(img, tile_shape=(4, 4)),
+            lambda img: shard_label(img, n_shards=2, tile_shape=(4, 4)),
+            lambda img: TiledJob(
+                img, tmp_path / "job.npy", tile_shape=(4, 4)
+            ).run(),
+        )
+        for run in runs:
+            assert run(mm).n_components == 1
+            with pytest.raises(InputError):
+                run(deep)
 
 
 class TestDegenerateShapesAcrossEngines:

@@ -169,15 +169,19 @@ class _BlockedPool:
         self.release = threading.Event()
         self.entered = threading.Event()
         self.respawns = 0
+        self.batches: list[tuple[int, int]] = []  # (connectivity, size)
 
-    def dispatch(self, images, connectivity=None, timeout=None,
+    def dispatch(self, images, connectivity=8, timeout=None,
                  request_ids=None):
         self.entered.set()
         assert self.release.wait(30.0)
+        self.batches.append((connectivity, len(images)))
         out = []
         counts = []
         for img in images:
-            lab, n = repro.label(img, engine="vectorized")
+            lab, n = repro.label(
+                img, engine="vectorized", connectivity=connectivity
+            )
             out.append(lab)
             counts.append(n)
         return out, counts
@@ -198,7 +202,7 @@ def _blocked_service(**cfg) -> tuple[LabelService, _BlockedPool]:
 class TestAdmissionControl:
     def test_backpressure_typed_and_immediate(self):
         svc, blocked = _blocked_service(max_queue=3, tenant_quota=100,
-                                        batch_size=1, batch_window=0.0)
+                                        batch_size=1)
         try:
             first = svc.submit(np.eye(8, dtype=np.uint8))
             assert blocked.entered.wait(10.0)  # dispatcher is pinned
@@ -214,7 +218,7 @@ class TestAdmissionControl:
 
     def test_tenant_quota_isolates_tenants(self):
         svc, blocked = _blocked_service(max_queue=50, tenant_quota=2,
-                                        batch_size=1, batch_window=0.0)
+                                        batch_size=1)
         try:
             svc.submit(np.eye(8, dtype=np.uint8), tenant="chatty")
             assert blocked.entered.wait(10.0)
@@ -252,7 +256,7 @@ class TestAdmissionControl:
 class TestBatching:
     def test_single_request_ships_as_one_image_batch(self):
         with LabelService(
-            ServiceConfig(workers=1, batch_size=8, batch_window=0.0)
+            ServiceConfig(workers=1, batch_size=8)
         ) as svc:
             lab, n = svc.label(np.eye(16, dtype=np.uint8))
             stats = svc.stats()
@@ -262,7 +266,7 @@ class TestBatching:
 
     def test_batch_size_one_config(self):
         with LabelService(
-            ServiceConfig(workers=1, batch_size=1, batch_window=0.0)
+            ServiceConfig(workers=1, batch_size=1)
         ) as svc:
             futs = [
                 svc.submit(img)
@@ -275,13 +279,20 @@ class TestBatching:
 
     def test_mixed_connectivity_never_shares_a_batch(self):
         img = _rand_images(7, 1, shape=(24, 24))[0]
-        with LabelService(
-            ServiceConfig(workers=1, batch_size=8, batch_window=0.05)
-        ) as svc:
+        svc, blocked = _blocked_service(batch_size=8)
+        try:
+            pin = svc.submit(np.eye(8, dtype=np.uint8))
+            assert blocked.entered.wait(10.0)  # dispatcher is pinned
             f8 = svc.submit(img, connectivity=8)
             f4 = svc.submit(img, connectivity=4)
-            lab8, n8 = f8.result(30.0)
-            lab4, n4 = f4.result(30.0)
+        finally:
+            blocked.release.set()
+            svc.drain()
+        assert pin.result(10.0)[1] == 1
+        lab8, n8 = f8.result(10.0)
+        lab4, n4 = f4.result(10.0)
+        # both were queued together, yet each went out in its own batch
+        assert blocked.batches == [(8, 1), (8, 1), (4, 1)]
         exp8, e8 = repro.label(img, engine="vectorized", connectivity=8)
         exp4, e4 = repro.label(img, engine="vectorized", connectivity=4)
         assert np.array_equal(lab8, exp8) and n8 == e8
@@ -293,7 +304,6 @@ class TestBatching:
             dict(batch_size=0),
             dict(max_queue=0),
             dict(tenant_quota=0),
-            dict(batch_window=-1.0),
         ):
             with pytest.raises(ValueError):
                 ServiceConfig(**bad)

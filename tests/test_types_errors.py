@@ -54,10 +54,6 @@ class TestAsBinaryImage:
         with pytest.raises(ImageFormatError):
             as_binary_image(np.zeros((2, 2, 2)))
 
-    def test_validation_skippable(self):
-        out = as_binary_image(np.array([[0, 2]]), validate=False)
-        assert out.tolist() == [[0, 2]]
-
     def test_list_input(self):
         out = as_binary_image([[0, 1], [1, 0]])
         assert out.dtype == np.uint8
