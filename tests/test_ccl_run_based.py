@@ -2,19 +2,29 @@
 
 from __future__ import annotations
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.ccl import aremsp
 from repro.ccl.run_based import (
     extract_runs,
     row_runs,
     run_based,
     run_based_vectorized,
+    scan_runs_chunk,
 )
+from repro.parallel import paremsp
+from repro.types import LABEL_DTYPE
 from repro.verify import flood_fill_label, labelings_equivalent
+
+# the module, not the function ``repro.ccl`` re-exports under its name
+run_based_module = importlib.import_module("repro.ccl.run_based")
 
 
 class TestRowRuns:
@@ -133,3 +143,116 @@ def test_large_random_against_scipy():
     _, n = scipy_label(img, 8)
     result = run_based_vectorized(img, 8)
     assert result.n_components == n
+
+
+def test_multiband_random_against_scipy():
+    from repro.verify import have_scipy, scipy_label
+
+    if not have_scipy():
+        pytest.skip("scipy not installed")
+    rng = np.random.default_rng(7)
+    img = (rng.random((1200, 1100)) < 0.42).astype(np.uint8)
+    # 11 bands of 119 rows: components cross every seam
+    assert run_based_module._band_rows(img.shape[1]) < img.shape[0]
+    n_runs = len(extract_runs(img)[1])
+    for connectivity in (4, 8):
+        expected, n = scipy_label(img, connectivity)
+        result = run_based_vectorized(img, connectivity)
+        assert result.n_components == n
+        assert labelings_equivalent(result.labels, expected)
+        assert result.provisional_count == n_runs
+
+
+def _bands_of(pixels: int):
+    """Shrink the run kernels' bands: 1 px gives 1-row bands (2-row
+    bands for PAREMSP's pair-aligned chunk scan), more a few rows."""
+    return mock.patch.object(run_based_module, "_BAND_PIXELS", pixels)
+
+
+BAND_PIXELS = [1, 7, 24]
+SEAM_SHAPES = [(0, 0), (0, 5), (5, 0), (1, 9), (9, 1), (2, 3), (7, 6), (13, 5)]
+seam_images = hnp.arrays(
+    dtype=np.uint8,
+    shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=20),
+    elements=st.integers(0, 1),
+)
+
+
+class TestBandSeams:
+    """Images cut into many bands, so the seam union does the joining.
+
+    Every other test image fits in one band of the default size."""
+
+    @pytest.mark.parametrize("pixels", BAND_PIXELS)
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_engine_matches_interpreter(
+        self, pixels, connectivity, structural_image
+    ):
+        expected = run_based(structural_image, connectivity)
+        with _bands_of(pixels):
+            result = run_based_vectorized(structural_image, connectivity)
+        assert np.array_equal(result.labels, expected.labels)
+        assert result.n_components == expected.n_components
+        assert result.provisional_count == len(extract_runs(structural_image)[1])
+
+    @pytest.mark.parametrize("shape", SEAM_SHAPES)
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_shapes_match_interpreter(self, shape, connectivity, rng):
+        img = (rng.random(shape) < 0.5).astype(np.uint8)
+        expected = run_based(img, connectivity)
+        with _bands_of(1):
+            result = run_based_vectorized(img, connectivity)
+        assert result.labels.shape == shape
+        assert np.array_equal(result.labels, expected.labels)
+        assert result.n_components == expected.n_components
+
+    @given(
+        img=seam_images,
+        pixels=st.sampled_from(BAND_PIXELS),
+        connectivity=st.sampled_from([4, 8]),
+    )
+    def test_property_engine_matches_interpreter(self, img, pixels, connectivity):
+        expected = run_based(img, connectivity)
+        with _bands_of(pixels):
+            result = run_based_vectorized(img, connectivity)
+        assert np.array_equal(result.labels, expected.labels)
+        assert result.n_components == expected.n_components
+
+    @given(
+        img=seam_images,
+        pixels=st.sampled_from(BAND_PIXELS),
+        connectivity=st.sampled_from([4, 8]),
+        label_start=st.integers(1, 60),
+    )
+    def test_property_chunk_scan_independent_of_bands(
+        self, img, pixels, connectivity, label_start
+    ):
+        labels, used, p_slice = scan_runs_chunk(img, label_start, connectivity)
+        # a stale value anywhere in *out* would show: every pixel is painted
+        out = np.full(img.shape, -1, dtype=LABEL_DTYPE)
+        with _bands_of(pixels):
+            got = scan_runs_chunk(img, label_start, connectivity, out=out)
+        assert got[0] is out
+        assert np.array_equal(got[0], labels)
+        assert got[1] == used
+        assert np.array_equal(got[2], p_slice)
+        assert got[2].dtype == p_slice.dtype
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_paremsp_byte_identical_to_aremsp(self, backend, connectivity, rng):
+        # a forked chunk worker inherits the patched band size
+        for pixels in BAND_PIXELS:
+            for shape in SEAM_SHAPES + [(16, 11)]:
+                img = (rng.random(shape) < 0.45).astype(np.uint8)
+                seq = aremsp(img, connectivity)
+                with _bands_of(pixels):
+                    result = paremsp(
+                        img,
+                        n_threads=2,
+                        backend=backend,
+                        connectivity=connectivity,
+                        engine="vectorized",
+                    )
+                assert result.n_components == seq.n_components
+                assert np.array_equal(result.labels, seq.labels)
